@@ -24,6 +24,10 @@ parts) and reports every violation as a human-readable issue string:
   :class:`~repro.core.kernels.CompiledProbePlan` has its hash index
   built (and its membership index, when it shares a level), and the
   per-probe request slot has none.
+* **Index freshness** — every pinned index and membership index equals
+  a fresh build over its relation's current tuples.  Deltas patch these
+  indexes in place, so a missed patch (stale) or a repeated one
+  (a row listed twice in its bucket) shows up here.
 
 ``check_index`` raises :class:`PlanVerificationError`;
 ``verify_index`` returns the issue list for callers that want to report.
@@ -31,6 +35,7 @@ parts) and reports every violation as a human-readable issue string:
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Iterable, List, Sequence, Set, Tuple
 
 from repro.query.cq import CQAP
@@ -239,8 +244,21 @@ def verify_selection(selection: SelectionResult, cqap: CQAP) -> List[str]:
     return issues
 
 
+def _matches_fresh_build(index: dict, relation: Any,
+                         key: Tuple[str, ...]) -> bool:
+    """True iff ``index`` equals a fresh ``index_on(key)`` of ``relation``.
+
+    Bucket order is not part of an index's meaning, so buckets compare as
+    multisets: a row patched in twice does not match.
+    """
+    fresh = type(relation)._wrap(relation.name, relation.schema,
+                                 relation.tuples).index_on(key)
+    return index.keys() == fresh.keys() and all(
+        Counter(bucket) == Counter(fresh[k]) for k, bucket in index.items())
+
+
 def verify_compiled_plans(steps: Iterable[Any]) -> List[str]:
-    """Check compile-time pinning on every step's compiled probe plan."""
+    """Check pinning and index freshness on every step's probe plan."""
     issues: List[str] = []
     for pos, step in enumerate(steps):
         plan = getattr(step, "plan", None)
@@ -266,6 +284,21 @@ def verify_compiled_plans(steps: Iterable[Any]) -> List[str]:
                         f"{where}: static participant shares its level but "
                         f"has no membership index pinned at compile time"
                     )
+                # slot 0 is the per-probe request when access is non-empty
+                relation = plan.relations[
+                    part.slot - (1 if plan.access else 0)]
+                pinned = (
+                    (part.index, part.bound_key or (part.var,)),
+                    (part.membership_index, part.bound_key + (part.var,)),
+                )
+                for index, key in pinned:
+                    if index is not None and not _matches_fresh_build(
+                            index, relation, key):
+                        issues.append(
+                            f"{where}: pinned index on {key} differs from "
+                            f"a fresh build over the relation's current "
+                            f"tuples (stale or double-patched)"
+                        )
             else:
                 if part.index is not None or part.membership_index is not None:
                     issues.append(

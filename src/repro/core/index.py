@@ -165,6 +165,9 @@ class CQAPIndex:
             "inserts": 0, "deletes": 0, "deltas_applied": 0,
             "reselections": 0,
         }
+        #: per-body-atom views of the base relations, kept patched by
+        #: repro.updates for the pinned joins of later deltas
+        self._atom_views: Dict[Tuple[str, Tuple[str, ...]], Relation] = {}
         self._configure(statistics)
         self.plans: List[RulePlan] = []
         self._s_targets: Dict[VarSet, Relation] = {}

@@ -6,8 +6,9 @@ column data instead of per-row Python loops with per-row counter bumps.
 The tuple :class:`set` remains the ground truth (so equality, iteration,
 pickling, and every base-class fallback behave identically — answers are
 bit-identical across backends by construction); the row list and the
-per-variable columns are derived caches, rebuilt after any mutation and
-never pickled (the process fleet ships payloads, not caches).
+per-variable columns are derived caches, dropped on any mutation (hash
+indexes are patched in place, as in the base class) and never pickled
+(the process fleet ships payloads, not caches).
 
 NumPy is used when importable — integer key columns get an
 ``np.isin``-vectorized semijoin membership kernel — but is **not** a
@@ -56,8 +57,9 @@ class ColumnarRelation(Relation):
 
     Storage contract: ``self.tuples`` (the inherited set) is authoritative;
     ``_rows`` (a stable row list) and ``_columns`` (variable -> column
-    tuple) are derived lazily and dropped on mutation or unpickling.  All
-    operators return :class:`ColumnarRelation` (the base class constructs
+    tuple) are derived lazily and dropped on mutation or unpickling (hash
+    indexes are patched in place, as in the base class).  All operators
+    return :class:`ColumnarRelation` (the base class constructs
     results through ``type(self)``, so mixed pipelines stay columnar), and
     all inherit the base class's schemas, counters, and mutation contract.
     """
@@ -69,6 +71,15 @@ class ColumnarRelation(Relation):
     # ------------------------------------------------------------------
     def _reset_derived(self) -> None:
         super()._reset_derived()
+        self._drop_columns()
+
+    def _note_delta(self, row: Tuple_, insert: bool) -> None:
+        # hash indexes are patched by the base class; the row list and
+        # columns are positional snapshots, so they are dropped instead
+        super()._note_delta(row, insert)
+        self._drop_columns()
+
+    def _drop_columns(self) -> None:
         self._rows: Optional[List[Tuple_]] = None
         self._columns: Optional[Dict[str, tuple]] = None
         self._int_cols: Dict[str, object] = {}

@@ -85,10 +85,18 @@ class Relation:
     The tuple set is stored as a Python ``set`` for O(1) membership; auxiliary
     hash indexes are built lazily per key and cached.
 
-    Mutation contract: go through :meth:`add` / :meth:`discard`, which
-    invalidate the cached indexes.  Mutating ``.tuples`` directly is
-    unsupported — cached indexes would keep serving the stale tuple set
+    Mutation contract: go through :meth:`add` / :meth:`discard` (or the
+    coordinated ``_delta_*`` primitives), which patch every cached index
+    in place — the row joins or leaves its bucket, and an emptied bucket
+    is dropped — so a single-tuple delta costs one bucket update per
+    cached key, not a rebuild over the whole relation.  Mutating
+    ``.tuples`` directly is unsupported — cached indexes would keep
+    serving the stale tuple set
     (``tests/test_relation.py::TestIndexInvalidation`` pins this down).
+    Because indexes are patched rather than replaced, a reader iterating
+    one while a delta lands can see it change size mid-iteration; the
+    single-writer rule (no probe runs during a delta) is what keeps
+    readers both correct and crash-free.
     """
 
     __slots__ = ("name", "schema", "tuples", "_variables", "_indexes",
@@ -120,12 +128,34 @@ class Relation:
     def _reset_derived(self) -> None:
         """(Re)initialize every cache derived from the tuple set.
 
-        Called on construction, unpickling, and mutation.  Subclasses
-        holding extra derived state (the columnar backend's column
-        arrays) extend this instead of duplicating the invalidation
-        points.
+        Called on construction and unpickling.  Subclasses holding extra
+        derived state (the columnar backend's column arrays) extend this
+        instead of duplicating the initialization points.
         """
         self._indexes: Dict[Tuple[str, ...], Dict[Tuple_, list]] = {}
+
+    def _note_delta(self, row: Tuple_, insert: bool) -> None:
+        """Bring derived state in line after ``row`` entered/left the set.
+
+        Bumps the version and patches every cached index in place: the
+        row is appended to (or removed from) its key's bucket, and a
+        bucket left empty is dropped, so each index stays equal to a
+        fresh :meth:`index_on` build.  Called by every mutation of this
+        relation, and by :mod:`repro.updates` for relations that share a
+        tuple set some other handle already mutated.  Subclasses with
+        extra derived state extend this.
+        """
+        self.version += 1
+        schema_index = self.schema.index
+        for key, index in self._indexes.items():
+            k = tuple(row[schema_index(v)] for v in key)
+            if insert:
+                index.setdefault(k, []).append(row)
+            else:
+                bucket = index[k]
+                bucket.remove(row)
+                if not bucket:
+                    del index[k]
 
     def _init_epoch(self) -> None:
         """Start the mutation epoch: fresh version, no partition links."""
@@ -263,7 +293,7 @@ class Relation:
             )
 
     def add(self, row: Tuple_, counters: Optional[Counters] = None) -> bool:
-        """Insert one tuple, invalidating cached indexes.
+        """Insert one tuple, patching cached indexes.
 
         Returns ``True`` iff the row was new (counters are only charged
         for actual state changes).
@@ -276,13 +306,12 @@ class Relation:
             return False
         self.tuples.add(row)
         (counters or global_counters).stores += 1
-        self.version += 1
-        self._reset_derived()
+        self._note_delta(row, True)
         return True
 
     def discard(self, row: Tuple_,
                 counters: Optional[Counters] = None) -> bool:
-        """Remove one tuple if present, invalidating cached indexes.
+        """Remove one tuple if present, patching cached indexes.
 
         Mirrors :meth:`add` exactly: arity-mismatched rows raise
         :class:`SchemaError` (they can never be present, and silently
@@ -299,8 +328,7 @@ class Relation:
             return False
         self.tuples.discard(row)
         (counters or global_counters).stores += 1
-        self.version += 1
-        self._reset_derived()
+        self._note_delta(row, False)
         return True
 
     # ------------------------------------------------------------------
@@ -315,8 +343,7 @@ class Relation:
         if row in self.tuples:
             return False
         self.tuples.add(row)
-        self.version += 1
-        self._reset_derived()
+        self._note_delta(row, True)
         return True
 
     def _delta_discard(self, row: Tuple_) -> bool:
@@ -325,8 +352,7 @@ class Relation:
         if row not in self.tuples:
             return False
         self.tuples.discard(row)
-        self.version += 1
-        self._reset_derived()
+        self._note_delta(row, False)
         return True
 
     def _sync_with_base(self) -> None:
@@ -357,8 +383,12 @@ class Relation:
         discipline): the index is built *fully* into a local dict and only
         then published with one cache assignment, so concurrent readers of
         a frozen relation either see the finished index or rebuild an
-        identical one — never a half-built dict.  Mutation remains
-        single-threaded-only, as per the class contract above.
+        identical one — never a half-built dict.  Once published, the
+        index is patched in place by every later delta, so a reader
+        iterating it (or one of its buckets) while a delta lands can raise
+        ``RuntimeError`` or miss a row: mutation is single-threaded-only,
+        and the single-writer rule guards against that crash as well as
+        against stale answers.
         """
         if self._view_of is not None:
             self._check_fresh()
@@ -402,7 +432,7 @@ class Relation:
         the stored tuple objects — a partition *view*, not a copy of the
         payloads — and re-unioning them reproduces this relation exactly.
         Each partition starts with an empty index cache of its own, so
-        mutating one partition invalidates only that partition's indexes.
+        mutating one partition patches only that partition's indexes.
 
         Views are epoch-guarded: mutating this relation (or a view) through
         the plain :meth:`add`/:meth:`discard` API while views are alive

@@ -64,6 +64,7 @@ from repro.serving.sharding import (
     split_by_binding,
 )
 from repro.serving.stats import stats_envelope
+from repro.updates import patch_family
 from repro.util.counters import Counters
 
 
@@ -236,63 +237,40 @@ class _WorkerDelta:
 def _apply_worker_delta(delta_bytes: bytes) -> Dict:
     """Apply one routed delta to this worker's serving state.
 
-    Mirrors the parent-side maintenance on the worker's own copies: the
-    touched steps' piece relations take the row delta (once per distinct
-    tuple set — backend re-wraps share sets — with derived caches reset
-    on every member) and their probe plans recompile; the raw S-view
-    slices take their routed row deltas and the affected Online-
-    Yannakakis passes are rebuilt from them.
+    Mirrors the parent-side maintenance on the worker's own copies through
+    the same family helper (:func:`repro.updates.patch_family`): the
+    touched steps' piece relations take the row delta and their probe
+    plans recompile; the raw S-view slices take their routed row deltas
+    and the affected Online-Yannakakis passes are rebuilt from them.
     """
     state = _worker_state()
     delta: _WorkerDelta = pickle.loads(delta_bytes)
-    insert = delta.op == "insert"
-    rows_applied = 0
     if delta.step_slots:
-        members = []
-        for slot in delta.step_slots:
-            step = state.steps[slot]
-            for atom, rel in zip(state.cqap.atoms, step.relations):
-                if atom.relation == delta.relation:
-                    members.append(rel)
-        seen: set = set()
-        for rel in members:
-            set_id = id(rel.tuples)
-            if set_id in seen:
-                rel.version += 1
-                rel._reset_derived()
-                continue
-            seen.add(set_id)
-            if insert:
-                rel._delta_add(delta.row)
-            else:
-                rel._delta_discard(delta.row)
+        members = [
+            rel for slot in delta.step_slots
+            for atom, rel in zip(state.cqap.atoms,
+                                 state.steps[slot].relations)
+            if atom.relation == delta.relation
+        ]
+        if delta.op == "insert":
+            patch_family(members, added=(delta.row,))
+        else:
+            patch_family(members, removed=(delta.row,))
         for slot in delta.step_slots:
             plan = state.steps[slot].plan
             if plan is not None:
                 plan._compile()
-    changed_targets = {target for target, added, removed in delta.view_rows
-                       if added or removed}
+    rows_applied = 0
+    changed_targets = set()
+    for target, added, removed in delta.view_rows:
+        if not (added or removed):
+            continue
+        changed_targets.add(target)
+        rows_applied += patch_family(
+            (rel for views in state.pmtd_views for rel in views.values()
+             if rel.variables == target),
+            added=added, removed=removed)
     if changed_targets:
-        seen = set()
-        for target, added, removed in delta.view_rows:
-            if not (added or removed):
-                continue
-            for views in state.pmtd_views:
-                for rel in views.values():
-                    if rel.variables != target:
-                        continue
-                    set_id = id(rel.tuples)
-                    if set_id in seen:
-                        rel.version += 1
-                        rel._reset_derived()
-                        continue
-                    seen.add(set_id)
-                    for r in added:
-                        if rel._delta_add(r):
-                            rows_applied += 1
-                    for r in removed:
-                        if rel._delta_discard(r):
-                            rows_applied += 1
         for p, views in enumerate(state.pmtd_views):
             if any(rel.variables in changed_targets
                    for rel in views.values()):

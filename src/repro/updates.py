@@ -47,12 +47,17 @@ The maintenance algorithm, per delta ``±R(t)``:
 
 5. **Derived-state coherence.**  Subproblem pieces, their ``atom_relation``
    cache entries, and the compiled online steps' relations form families
-   that share (or copy) tuple sets; every family member is mutated once
-   per distinct set and has its derived caches reset, affected
-   :class:`~repro.core.kernels.CompiledProbePlan`\\ s are recompiled (they
-   pin hash indexes at compile time), and the per-PMTD Online Yannakakis
-   instances are rebuilt whenever an S-target moved (their semijoin-
-   reduced views are preprocessing-time snapshots).
+   that share (or copy) tuple sets; :func:`patch_family` applies the row
+   once per distinct set and patches every member's cached hash indexes
+   in place (the row joins or leaves one bucket per cached key), so the
+   affected :class:`~repro.core.kernels.CompiledProbePlan`\\ s recompile
+   against indexes that are already built, and the base relations'
+   atom-labelled views used by the pinned joins of step 2 stay warm the
+   same way.  A delta therefore costs its join neighbourhood plus one
+   bucket update per cached index, never a rebuild over a whole piece.
+   The per-PMTD Online Yannakakis instances are rebuilt whenever an
+   S-target moved (their semijoin-reduced views are preprocessing-time
+   snapshots).
 
 6. **Drift re-selection.**  When the measured cardinality drift since the
    catalog statistics were taken exceeds ``index.staleness_threshold``,
@@ -69,7 +74,8 @@ eviction, shard-routed view deltas, worker messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import (Collection, Dict, FrozenSet, Iterable, List, Optional,
+                    Tuple)
 
 from repro.core.joins import project_join
 from repro.core.split import HEAVY, LIGHT, Subproblem
@@ -153,28 +159,35 @@ def _collect_family(index, subproblem: Subproblem, name: str,
     return members
 
 
-def _mutate_family(members: List[Relation], row: Tuple_,
-                   insert: bool) -> bool:
-    """Apply one delta to a piece family, once per distinct tuple set.
+def patch_family(members: Iterable[Relation],
+                 added: Collection[Tuple_] = (),
+                 removed: Collection[Tuple_] = ()) -> int:
+    """Apply row deltas to every relation object of one logical piece.
 
-    Members sharing a set get their derived caches reset (the set moved
-    under them); members with private copies get the same delta applied.
-    Returns True iff any member's content changed.
+    Each member is visited once by identity: a step relation can also be
+    the ``atom_relation`` cache entry, and a second visit would patch its
+    indexes twice.  The first member over each distinct tuple set applies
+    the rows to the set (patching its own indexes); later members sharing
+    that set only patch their derived state, and only for the rows that
+    actually changed it.  Returns the number of rows that changed a set.
     """
     seen: set = set()
-    changed = False
+    changes_by_set: Dict[int, List[Tuple[Tuple_, bool]]] = {}
+    n_changed = 0
     for rel in members:
-        set_id = id(rel.tuples)
-        if set_id in seen:
-            rel.version += 1
-            rel._reset_derived()
+        if id(rel) in seen:
             continue
-        seen.add(set_id)
-        if insert:
-            changed |= rel._delta_add(row)
+        seen.add(id(rel))
+        changes = changes_by_set.get(id(rel.tuples))
+        if changes is None:
+            changes = [(r, True) for r in added if rel._delta_add(r)]
+            changes += [(r, False) for r in removed if rel._delta_discard(r)]
+            changes_by_set[id(rel.tuples)] = changes
+            n_changed += len(changes)
         else:
-            changed |= rel._delta_discard(row)
-    return changed
+            for r, insert in changes:
+                rel._note_delta(r, insert)
+    return n_changed
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +271,41 @@ def _pinned_join(cqap, relation_of, name: str, row: Tuple_,
     return out
 
 
+def _atom_view(index, atom) -> Relation:
+    """``atom``'s base relation relabelled to the atom's variables.
+
+    One view per body atom lives on the index, sharing its base's tuple
+    set; :func:`_patch_atom_views` patches it with every delta the base
+    takes, so the pinned joins probe warm indexes instead of rebuilding
+    them over the whole base relation on every delta.  A view whose base
+    was replaced, or mutated outside :func:`apply_delta` (the versions no
+    longer match), is rebuilt.
+    """
+    base = index.db[atom.relation]
+    key = (atom.relation, atom.variables)
+    view = index._atom_views.get(key)
+    if view is None or view.tuples is not base.tuples \
+            or view.version != base.version:
+        view = Relation._wrap(atom.relation, atom.variables, base.tuples)
+        view.version = base.version
+        index._atom_views[key] = view
+    return view
+
+
+def _patch_atom_views(index, name: str, row: Tuple_, insert: bool) -> None:
+    """Patch the atom views of ``name`` after its base took ``row``.
+
+    Only views that were in step with the base's pre-delta state are
+    patched; any other view is left stale for :func:`_atom_view` to
+    rebuild.
+    """
+    base = index.db[name]
+    for (rel_name, _), view in index._atom_views.items():
+        if rel_name == name and view.tuples is base.tuples \
+                and view.version == base.version - 1:
+            view._note_delta(row, insert)
+
+
 def _affected_keys(index, name: str, row: Tuple_,
                    ctr: Counters) -> FrozenSet[Tuple_]:
     """Exact normalized access bindings whose answers the delta touches.
@@ -267,14 +315,9 @@ def _affected_keys(index, name: str, row: Tuple_,
     yields ``{()}`` iff the pinned join is nonempty — the Boolean
     query's single cached answer may have flipped.
     """
-    db = index.db
-
-    def relation_of(atom):
-        base = db[atom.relation]
-        return Relation._wrap(atom.relation, atom.variables, base.tuples)
-
-    return frozenset(_pinned_join(index.cqap, relation_of, name, row,
-                                  index.cqap.access, ctr))
+    return frozenset(_pinned_join(index.cqap,
+                                  lambda atom: _atom_view(index, atom),
+                                  name, row, index.cqap.access, ctr))
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +392,7 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
     else:
         index.db.delete(name, row, counters=ctr)
         index.update_counts["deletes"] += 1
+    _patch_atom_views(index, name, row, insert)
 
     event = UpdateEvent(op, name, row, changed=True, in_query=in_query,
                         affected_keys=affected)
@@ -382,7 +426,10 @@ def apply_delta(index, op: str, name: str, row: Tuple_,
     for plan_i, plan in enumerate(index.plans):
         for decision in hosting_by_plan.get(plan_i, ()):
             family = _collect_family(index, decision.subproblem, name)
-            _mutate_family(family, row, insert)
+            if insert:
+                patch_family(family, added=(row,))
+            else:
+                patch_family(family, removed=(row,))
     for slot, step in enumerate(index._compiled_online):
         subproblem = step.decision.subproblem
         if any(decision.subproblem is subproblem

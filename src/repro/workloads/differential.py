@@ -80,6 +80,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.analysis.verify_plan import verify_index
 from repro.core.index import CQAPIndex
 from repro.core.two_phase import PlanningError
 from repro.data.relation import Relation
@@ -362,6 +363,12 @@ def _run_update_replay(outcome: ScenarioOutcome, workload: Workload,
             else:
                 mirror.delete(name, row)
                 deleted.append((name, row))
+            # deltas patch the pinned indexes in place: a stale or
+            # double-patched one must fail here, not only when a probe
+            # happens to walk the bad bucket
+            for issue in verify_index(index):
+                outcome.disagreements.append(Disagreement(
+                    seed, f"{path}.step{step}.verify", issue, repro))
 
             lo = (step * UPDATE_PROBES_PER_STEP) % len(probe_cycle)
             sample = list(dict.fromkeys(

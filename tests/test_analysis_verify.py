@@ -169,6 +169,22 @@ class TestCorruptedIndex:
         issues = verify_compiled_plans(index.compiled_online)
         assert any("no hash index pinned" in i for i in issues)
 
+    @pytest.mark.parametrize("corrupt", ["double_patch", "missed_patch"])
+    def test_stale_pinned_index_is_caught(self, corrupt):
+        index = _fresh_index(space_budget=2.0).preprocess()
+        assert verify_index(index) == []
+        plan = next(step.plan for step in index.compiled_online
+                    if step.plan is not None)
+        pinned = next(p[6] for level in plan.levels for p in level
+                      if p[5] and p[6])
+        bucket = next(iter(pinned.values()))
+        if corrupt == "double_patch":
+            bucket.append(bucket[0])
+        else:
+            bucket.pop()
+        issues = verify_compiled_plans(index.compiled_online)
+        assert any("differs from a fresh build" in i for i in issues)
+
     def test_pinned_request_slot_is_caught(self):
         index = _fresh_index(space_budget=2.0).preprocess()
         plan = next(step.plan for step in index.compiled_online

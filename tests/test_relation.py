@@ -1,7 +1,12 @@
 """Unit tests for the Relation substrate."""
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.data.columnar import ColumnarRelation
 from repro.data.relation import (
     Relation,
     SchemaError,
@@ -9,11 +14,32 @@ from repro.data.relation import (
     singleton_request,
     stable_hash,
 )
+from repro.updates import patch_family
 from repro.util.counters import Counters
 
 
 def rel(name, schema, rows):
     return Relation(name, schema, rows)
+
+
+def fresh_index(relation, key):
+    """An index over ``key`` built from scratch, independent of any cache."""
+    pos = relation.positions(key)
+    out = {}
+    for row in relation.tuples:
+        out.setdefault(tuple(row[p] for p in pos), []).append(row)
+    return out
+
+
+def same_index(index, fresh):
+    """Equal as indexes: same keys, same buckets as multisets."""
+    return index.keys() == fresh.keys() and all(
+        Counter(bucket) == Counter(fresh[k]) for k, bucket in index.items())
+
+
+def assert_cached_indexes_fresh(relation):
+    for key, index in relation._indexes.items():
+        assert same_index(index, fresh_index(relation, key)), key
 
 
 class TestConstruction:
@@ -210,9 +236,12 @@ class TestBindings:
 class TestIndexInvalidation:
     """Lazy hash indexes must never serve entries for stale tuple sets.
 
-    The supported mutation surface is ``add``/``discard`` (both clear the
-    index cache); mutating ``.tuples`` directly bypasses invalidation and
-    is documented as unsupported — see the ``Relation`` class docstring.
+    The supported mutation surface is ``add``/``discard`` and the
+    coordinated ``_delta_*`` primitives, which patch every cached index
+    in place (the row joins or leaves its bucket; an emptied bucket is
+    dropped), so each index stays equal to a fresh build; mutating
+    ``.tuples`` directly bypasses the patching and is documented as
+    unsupported — see the ``Relation`` class docstring.
     """
 
     def test_add_invalidates_cached_index(self):
@@ -263,6 +292,77 @@ class TestIndexInvalidation:
         r.tuples.add((9, 9))
         assert r.index_on(("a",)) is stale
         assert (9,) not in r.index_on(("a",))
+
+
+_KEYS = [(), ("a",), ("b",), ("a", "b"), ("c", "a"), ("a", "b", "c")]
+_ROWS = st.tuples(*(st.integers(0, 2),) * 3)
+_MUTATIONS = ("add", "discard", "_delta_add", "_delta_discard")
+
+
+class TestIndexPatching:
+    """Every mutation path keeps every cached index equal to a fresh build.
+
+    The domain is tiny on purpose: inserts of present rows and deletes of
+    absent ones (no-op deltas) and deletes of a bucket's last row (the
+    bucket must go) all come up constantly.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(backend=st.sampled_from([Relation, ColumnarRelation]),
+           initial=st.sets(_ROWS, max_size=8),
+           steps=st.lists(st.tuples(st.sampled_from(_MUTATIONS + ("index",)),
+                                    _ROWS, st.sampled_from(_KEYS)),
+                          max_size=30))
+    def test_mutations_keep_cached_indexes_fresh(self, backend, initial,
+                                                 steps):
+        r = backend("R", ("a", "b", "c"), initial)
+        r.index_on(("a",))
+        for op, row, key in steps:
+            if op == "index":
+                r.index_on(key)
+            else:
+                version = r.version
+                changed = getattr(r, op)(row)
+                assert r.version == version + changed
+            assert_cached_indexes_fresh(r)
+            if backend is ColumnarRelation:
+                # the positional caches must have been dropped, not kept
+                assert sorted(r._row_data()) == sorted(r.tuples)
+
+    @settings(max_examples=100, deadline=None)
+    @given(initial=st.sets(_ROWS, max_size=8),
+           added=st.lists(_ROWS, max_size=4),
+           removed=st.lists(_ROWS, max_size=4))
+    def test_family_sharing_one_set_is_patched_once(self, initial, added,
+                                                    removed):
+        owner = Relation("R", ("a", "b", "c"), initial)
+        sharer = ColumnarRelation._wrap("R", ("a", "b", "c"), owner.tuples)
+        copy = Relation("R", ("a", "b", "c"), initial)
+        for member in (owner, sharer, copy):
+            for key in _KEYS:
+                member.index_on(key)
+        removed = [r for r in removed if r not in added]
+        want = (set(initial) | set(added)) - set(removed)
+        # the owner appears twice, as a step relation that is also the
+        # atom-cache entry would: it must still be patched only once
+        changed = patch_family([owner, sharer, owner, copy],
+                               added=added, removed=removed)
+        per_set = (len(set(added) - set(initial))
+                   + len(set(removed) & (set(initial) | set(added))))
+        assert changed == 2 * per_set  # two distinct sets: owner's, copy's
+        for member in (owner, sharer, copy):
+            assert member.tuples == want
+            assert_cached_indexes_fresh(member)
+        assert sharer.version == owner.version
+
+    def test_removing_last_row_drops_bucket_and_empty_key(self):
+        r = rel("R", ("a", "b"), [(1, 2)])
+        r.index_on(())
+        r.index_on(("a",))
+        r.discard((1, 2))
+        assert r._indexes == {(): {}, ("a",): {}}
+        r.add((3, 4))
+        assert r._indexes == {(): {(): [(3, 4)]}, ("a",): {(3,): [(3, 4)]}}
 
 
 class TestPartitionViews:
@@ -341,7 +441,7 @@ class TestPartitionViews:
             part.add((99, 99, 99))
         part._delta_add((99, 99, 99))
         rebuilt = part.index_on(("a",))
-        assert rebuilt is not index
+        assert same_index(rebuilt, fresh_index(part, ("a",)))
         assert (99,) in rebuilt and (row[0],) in rebuilt
         # the parent relation and sibling partitions are untouched
         assert (99, 99, 99) not in r.tuples
